@@ -62,7 +62,7 @@ def _state_digest(store) -> str:
     address-independent invariant.
     """
     h = hashlib.blake2b(digest_size=16)
-    for rc in sorted(store.refcount(plid) for plid in store._enc_by_plid):
+    for rc in sorted(store.refcount(plid) for plid in store.live_plids()):
         h.update(rc.to_bytes(8, "big"))
     return h.hexdigest()
 

@@ -167,25 +167,20 @@ def restore_machine(image: Dict[str, Any]) -> Machine:
                                                            plid % num_buckets))
                           if plid >= store._overflow_base
                           else plid % num_buckets)
-            bucket = store._buckets.get(bucket_idx)
-            if bucket is None:
-                from repro.memory.dedup_store import _Bucket
-                bucket = _Bucket(signatures=[0] * (store.config.data_ways + 1))
-                store._buckets[bucket_idx] = bucket
+            bucket = store.bucket(bucket_idx)
             if plid >= store._overflow_base:
-                bucket.overflow.append(plid)
+                bucket.add_overflow(plid)
                 store._overflow_bucket[plid] = bucket_idx
             else:
                 way = plid // num_buckets
                 bucket.signatures[way] = hashing.signature(enc)
-            bucket.by_encoding[enc] = plid
             store._lines[plid] = line
             store._refcounts[plid] = image["refcounts"][plid_str]
         store._next_overflow = image["next_overflow"]
         store.slots.free_overflow[:] = [int(p) for p
                                         in image["free_overflow"]]
-        # recapture canonical encodings (and rebuild the cuckoo table
-        # when the image was saved under index_kind="cuckoo")
+        # recapture the index keys and rebuild the lookup path (the
+        # legacy by_encoding maps, or the cuckoo table)
         store.reindex()
 
         # restore the segment map

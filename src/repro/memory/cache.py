@@ -49,7 +49,6 @@ class HicampCache:
         self._sets: "list[OrderedDict[int, Line]]" = [
             OrderedDict() for _ in range(self._num_sets)
         ]
-        self._where: "dict[int, int]" = {}  # plid -> set index (for invalidate)
         store.dealloc_listeners.append(self.invalidate)
 
     # ------------------------------------------------------------------
@@ -61,10 +60,8 @@ class HicampCache:
         ways = self._sets[set_idx]
         ways[plid] = line
         ways.move_to_end(plid)
-        self._where[plid] = set_idx
         if len(ways) > self._ways:
             victim, _ = ways.popitem(last=False)
-            self._where.pop(victim, None)
             self.traffic.evictions += 1
             # Deferred allocation write of a never-written line.
             self.store.writeback(victim)
@@ -115,10 +112,12 @@ class HicampCache:
         return plid
 
     def invalidate(self, plid: int) -> None:
-        """Drop a (deallocated) line from the cache."""
-        set_idx = self._where.pop(plid, None)
-        if set_idx is not None:
-            self._sets[set_idx].pop(plid, None)
+        """Drop a (deallocated) line from the cache.
+
+        A line is only ever cached in the set of its hash bucket, which
+        the store still resolves while its dealloc listeners run.
+        """
+        self._sets[self._set_index_for_plid(plid)].pop(plid, None)
 
     def flush(self) -> None:
         """Evict everything, charging deferred allocation writes."""
@@ -126,8 +125,7 @@ class HicampCache:
             for plid in list(ways):
                 self.store.writeback(plid)
             ways.clear()
-        self._where.clear()
 
     def resident_lines(self) -> int:
         """Number of lines currently cached (diagnostics)."""
-        return len(self._where)
+        return sum(len(ways) for ways in self._sets)

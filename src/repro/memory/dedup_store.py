@@ -36,8 +36,8 @@ the legacy lowest-free-way / LIFO-overflow placement exactly.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import BadPlidError, IntegrityError, MemoryExhaustedError
 from repro.memory import hashing
@@ -56,13 +56,26 @@ from repro.memory.stats import DramStats, RowBuffer
 from repro.params import MemoryConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class _Bucket:
-    """One hash bucket (DRAM row): signatures plus resident way → PLID."""
+    """One hash bucket (DRAM row): signatures plus resident way → PLID.
 
-    signatures: List[int]
-    by_encoding: Dict[bytes, int] = field(default_factory=dict)
-    overflow: List[int] = field(default_factory=list)
+    Kept small, since a serving store holds tens of thousands of them:
+    the signature line is a byte string (signatures are 8-bit),
+    ``by_encoding`` exists only under the legacy lookup path (the
+    cuckoo index answers lookups under that kind), and the overflow
+    chain is created by the first spill.
+    """
+
+    signatures: bytearray
+    by_encoding: Optional[Dict[bytes, int]] = None
+    overflow: Sequence[int] = ()
+
+    def add_overflow(self, plid: int) -> None:
+        """Chain an overflow-area line to this bucket."""
+        if not self.overflow:
+            self.overflow = []
+        self.overflow.append(plid)
 
 
 @dataclass
@@ -186,10 +199,11 @@ class DedupStore:
         self._rc_cache = _RcCache(rc_cache_entries, self.stats, self.rows,
                                   self._row_of)
         self._zero = zero_line(self.config.words_per_line)
-        #: canonical encoding of each live line, captured at allocation so
-        #: deallocation (and dealloc-time index maintenance) never has to
-        #: re-derive it
-        self._enc_by_plid: Dict[int, bytes] = {}
+        #: the key each live line is indexed under — its canonical
+        #: encoding (legacy ``by_encoding``) or its 64-bit cuckoo key —
+        #: captured at allocation so deallocation unindexes the line
+        #: without re-deriving it (even if its content was corrupted)
+        self._index_keys: Dict[int, object] = {}
         #: callbacks invoked with a PLID just before it is deallocated
         #: (the cache registers here to invalidate its copy).
         self.dealloc_listeners: List = []
@@ -364,10 +378,7 @@ class DedupStore:
             return self._lookup_cuckoo(line, enc)
         bucket_idx = hashing.bucket_hash(enc, self._num_buckets)
         sig = hashing.signature(enc)
-        bucket = self._buckets.get(bucket_idx)
-        if bucket is None:
-            bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
-            self._buckets[bucket_idx] = bucket
+        bucket = self.bucket(bucket_idx)
 
         self.counters.lookups += 1
         self.stats.lookups += 1  # signature line read
@@ -424,7 +435,7 @@ class DedupStore:
         def match(plid: int) -> bool:
             self.stats.lookups += 1  # candidate data-line read
             self.rows.access(self._row_of(plid))
-            if self._enc_by_plid.get(plid) == enc:
+            if self._lines.get(plid) == line:
                 return True
             self.counters.false_positive_scans += 1
             return False
@@ -437,17 +448,26 @@ class DedupStore:
             return found, False
         bucket_idx = hashing.bucket_hash(enc, self._num_buckets)
         sig = hashing.signature(enc)
-        bucket = self._buckets.get(bucket_idx)
-        if bucket is None:
-            bucket = _Bucket(signatures=[0] * (self._data_ways + 1))
-            self._buckets[bucket_idx] = bucket
-        plid = self._allocate(line, enc, bucket_idx, sig, bucket)
+        plid = self._allocate(line, key, bucket_idx, sig,
+                              self.bucket(bucket_idx))
         self._index.insert(key, plid)
         return plid, True
 
-    def _allocate(self, line: Line, enc: bytes, bucket_idx: int, sig: int,
+    def bucket(self, bucket_idx: int) -> _Bucket:
+        """The hash bucket ``bucket_idx``, created empty on first use."""
+        bucket = self._buckets.get(bucket_idx)
+        if bucket is None:
+            bucket = _Bucket(bytearray(self._data_ways + 1),
+                             {} if self._index is None else None)
+            self._buckets[bucket_idx] = bucket
+        return bucket
+
+    def _allocate(self, line: Line, index_key, bucket_idx: int, sig: int,
                   bucket: _Bucket) -> int:
         """Claim a way (or an overflow slot) for new content.
+
+        ``index_key`` is what the line is indexed under: its encoding
+        (legacy) or its cuckoo key.
 
         Slot choice goes through the :class:`SlotAllocator` free lists;
         the claimed way/overflow PLID — and all DRAM charging — are
@@ -469,14 +489,15 @@ class DedupStore:
                         "overflow area exhausted (%d lines)"
                         % self.config.overflow_lines
                     )
-            bucket.overflow.append(plid)
+            bucket.add_overflow(plid)
             self._overflow_bucket[plid] = bucket_idx
             self.counters.overflow_allocations += 1
             self.stats.lookups += 1  # overflow pointer update
             self.rows.access(bucket_idx)
-        bucket.by_encoding[enc] = plid
+        if bucket.by_encoding is not None:
+            bucket.by_encoding[index_key] = plid
         self._lines[plid] = line
-        self._enc_by_plid[plid] = enc
+        self._index_keys[plid] = index_key
         self._refcounts[plid] = 1
         self._pending_write.add(plid)
         self._rc_cache.touch(plid, creating=True)
@@ -567,16 +588,17 @@ class DedupStore:
         for listener in self.dealloc_listeners:
             listener(plid)
         line = self._lines.pop(plid)
-        enc = self._enc_by_plid.pop(plid, None)
-        if enc is None:
-            enc = encode_line(line)
+        # keyed off the key captured at allocation, so a silently
+        # corrupted line still unindexes cleanly (the audit flags it)
+        key = self._index_keys.pop(plid, None)
+        if key is None:
+            key = self._index_key_of(encode_line(line))
         if self._index is not None:
-            # keyed off the *stored* encoding, so a silently corrupted
-            # line still unindexes cleanly (the audit flags it instead)
-            self._index.remove(CuckooIndex.key_of(enc), plid)
+            self._index.remove(key, plid)
         bucket_idx = self.bucket_of(plid)
         bucket = self._buckets[bucket_idx]
-        bucket.by_encoding.pop(enc, None)
+        if bucket.by_encoding is not None:
+            bucket.by_encoding.pop(key, None)
         if plid >= self._overflow_base:
             bucket.overflow.remove(plid)
             self._overflow_bucket.pop(plid, None)
@@ -705,14 +727,21 @@ class DedupStore:
             snap["cuckoo"] = self._index.snapshot()
         return snap
 
+    def _index_key_of(self, enc: bytes):
+        """The key a line with encoding ``enc`` is indexed under."""
+        if self._index is not None:
+            return CuckooIndex.key_of(enc)
+        return enc
+
     def reindex(self) -> None:
         """Rebuild derived lookup state from the stored lines.
 
         Used after :func:`repro.core.persistence.restore_machine`
         repopulates ``_lines``/``_buckets`` directly: recaptures the
-        canonical encoding of every live line and, under the cuckoo
-        kind, rebuilds the index table from scratch. Charges no DRAM
-        (restore is out-of-band, like replication's export path).
+        index key of every live line and rebuilds the lookup path —
+        the buckets' ``by_encoding`` maps under the legacy kind, the
+        cuckoo table from scratch under the cuckoo kind. Charges no
+        DRAM (restore is out-of-band, like replication's export path).
         """
         if self._index is not None:
             self._index = CuckooIndex(
@@ -722,12 +751,14 @@ class DedupStore:
                 stats=None, rows=None)
             self._index.resize_listeners.append(self._on_index_resize)
         for plid, line in self._lines.items():
-            enc = self._enc_by_plid.get(plid)
-            if enc is None:
-                enc = encode_line(line)
-                self._enc_by_plid[plid] = enc
+            key = self._index_keys.get(plid)
+            if key is None:
+                key = self._index_key_of(encode_line(line))
+                self._index_keys[plid] = key
             if self._index is not None:
-                self._index.insert(CuckooIndex.key_of(enc), plid)
+                self._index.insert(key, plid)
+            else:
+                self._buckets[self.bucket_of(plid)].by_encoding[key] = plid
         if self._index is not None:
             # rebuilt uncharged; live operation from here on is charged
             self._index._dram = self.stats

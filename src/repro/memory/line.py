@@ -32,7 +32,7 @@ ZERO_PLID = 0
 DataWord = int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlidRef:
     """A tagged reference word pointing at line ``plid``.
 
@@ -55,7 +55,7 @@ class PlidRef:
         return "PlidRef(%d)" % self.plid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inline(object):
     """Data-compaction word: ``values`` packed at ``width`` bytes each.
 

@@ -14,13 +14,17 @@ reference counting:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.memory.cache import HicampCache
 from repro.memory.dedup_store import DedupStore
 from repro.memory.line import Line, zero_line
 from repro.memory.stats import DramStats
 from repro.params import MachineConfig
+
+#: levels precomputed in the level table (level 63 addresses 2**127 words
+#: at the default geometry; deeper levels are appended on demand)
+_PRESET_LEVELS = 64
 
 
 class MemorySystem:
@@ -32,6 +36,9 @@ class MemorySystem:
                                 verify_reads=self.config.memory.verify_reads)
         self.cache = HicampCache(self.store, self.config.cache)
         self._zero = zero_line(self.config.memory.words_per_line)
+        words, fan = self.words_per_line, self.fanout
+        self._levels: List[int] = [words * fan ** level
+                                   for level in range(_PRESET_LEVELS)]
 
     # ------------------------------------------------------------------
 
@@ -44,6 +51,24 @@ class MemorySystem:
     def fanout(self) -> int:
         """Child entries per interior line (the DAG fan-out)."""
         return self.config.memory.fanout
+
+    def levels(self, level: int) -> List[int]:
+        """The level table, covering at least ``level``.
+
+        ``levels(h)[l]`` is the word capacity of a DAG entry at level
+        ``l`` (``words_per_line * fanout ** l``) for every ``l <= h``,
+        so the DAG walks index it instead of raising big-int powers.
+        Deep levels (sparse map slots reach past level 64) are appended
+        on demand; growth rebinds a fresh list, so a reader holding the
+        old table still sees correct values.
+        """
+        table = self._levels
+        if level >= len(table):
+            grown = list(table)
+            while len(grown) <= level:
+                grown.append(grown[-1] * self.fanout)
+            self._levels = table = grown
+        return table
 
     @property
     def line_bytes(self) -> int:

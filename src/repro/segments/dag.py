@@ -20,8 +20,18 @@ An *entry* denotes a subtree at a known level and is one of:
   ``path`` carries the way positions of elided single-child interior
   nodes (path compaction).
 
-At level ``L`` an entry spans ``leaf_words * fanout**L`` words; a segment
-of height ``h`` is the entry at level ``h``.
+At level ``L`` an entry spans ``leaf_words * fanout**L`` words (read from
+the memory system's level table); a segment of height ``h`` is the entry
+at level ``h``.
+
+A *single-child run* is a stretch of levels where a subtree has one
+child to go to: the entry is ``0``, a ``PlidRef`` whose path continues
+into that child, or an ``Inline`` that fits the leftmost child. No real
+line sits on a run, so the rebuild, the merge and the reads cross it
+without expanding it, and re-wrapping a result below a run
+(:func:`_wrap_run`) yields the canonical entry directly. The walks then
+cost one step per real line on the touched paths plus the lines an
+update changes, not one step per level.
 
 Reference-count contract: every function that *returns* an entry returns
 it with one caller-owned reference on its PLID (if any); every function
@@ -32,6 +42,7 @@ that *consumes* entries consumes the caller's references on them.
 from __future__ import annotations
 
 import hashlib
+from operator import mul
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SegmentRangeError
@@ -45,7 +56,7 @@ _INLINE_WIDTHS = (1, 2, 4, 8)
 
 def entry_capacity(mem: MemorySystem, level: int) -> int:
     """Words addressable by a subtree entry at ``level``."""
-    return mem.words_per_line * (mem.fanout ** level)
+    return mem.levels(level)[level]
 
 
 def height_for(mem: MemorySystem, length: int) -> int:
@@ -214,17 +225,48 @@ def build_segment(mem: MemorySystem, words: Sequence) -> Tuple[Entry, int]:
     return build_entry(mem, words, height), height
 
 
+def _wrap_run(mem: MemorySystem, entry: Entry, level: int,
+              run: Sequence[int]) -> Entry:
+    """Hang ``entry`` (a subtree at ``level``) below a single-child run.
+
+    ``run`` lists the child positions of the elided levels, top-down;
+    the result is the canonical entry at ``level + len(run)`` whose only
+    non-zero content is ``entry`` at those positions. That is what
+    :func:`_canonical_interior` gives applied once per level with zero
+    siblings, taken in one step wherever the outcome is known: ``0``
+    stays ``0``, a line reference takes the run as its path prefix
+    (under path compaction), and an inline pack on the leftmost spine
+    comes back unchanged. Only a pack off the leftmost spine, or a
+    reference without path compaction, goes through
+    :func:`_canonical_interior` level by level, materializing the lines
+    the canonical form needs. Consumes the caller's reference on
+    ``entry``; returns the result with one caller reference.
+    """
+    k = len(run)
+    while k:
+        if type(entry) is PlidRef:
+            if mem.config.path_compaction:
+                return PlidRef(entry.plid, tuple(run[:k]) + entry.path)
+        elif not entry:
+            return 0
+        elif mem.config.data_compaction and not any(run[:k]):
+            return entry
+        k -= 1
+        level += 1
+        children: List[Entry] = [0] * mem.fanout
+        children[run[k]] = entry
+        entry = _canonical_interior(mem, children, level)
+    return entry
+
+
 def grow_entry(mem: MemorySystem, entry: Entry, height: int, new_height: int) -> Entry:
     """Raise a segment's height (content unchanged; capacity grows).
 
     Consumes the caller's reference on ``entry``; this is the "DAG simply
-    extended with additional lines" growth of section 4.1.
+    extended with additional lines" growth of section 4.1: the old root
+    becomes the leftmost child of a single-child run.
     """
-    while height < new_height:
-        children: List[Entry] = [entry] + [0] * (mem.fanout - 1)
-        entry = _canonical_interior(mem, children, height + 1)
-        height += 1
-    return entry
+    return _wrap_run(mem, entry, height, (0,) * (new_height - height))
 
 
 # ----------------------------------------------------------------------
@@ -239,27 +281,33 @@ def read_word(mem: MemorySystem, entry: Entry, level: int, index: int):
     """
     if index >= entry_capacity(mem, level):
         raise SegmentRangeError("index %d beyond height-%d capacity" % (index, level))
-    fan = mem.fanout
+    levels = mem.levels(level)
     while True:
-        if entry == 0:
-            return 0
-        if isinstance(entry, Inline):
-            return entry.values[index] if index < len(entry.values) else 0
-        # PlidRef: follow the compacted path, then the line.
-        for p in entry.path:
-            child_span = entry_capacity(mem, level - 1)
-            if index // child_span != p:
+        if type(entry) is not PlidRef:
+            if not entry:
                 return 0
-            index %= child_span
-            level -= 1
+            return entry.values[index] if index < len(entry.values) else 0
+        path = entry.path
+        if path:
+            # cross the compacted path in one step: the elided levels
+            # leave one target subtree, at a fixed offset
+            index -= _path_offset(levels, path, level)
+            level -= len(path)
+            if not 0 <= index < levels[level]:
+                return 0
         line = mem.read(entry.plid)
         if level == 0:
             return line[index]
-        child_span = entry_capacity(mem, level - 1)
-        j = index // child_span
-        entry = line[j]
-        index %= child_span
         level -= 1
+        j, index = divmod(index, levels[level])
+        entry = line[j]
+
+
+def _path_offset(levels: List[int], path: Tuple[int, ...], level: int) -> int:
+    """Words from the start of an entry at ``level`` to the target of
+    its compacted ``path``: the elided single-child nodes place it at
+    ``sum(path[i] * capacity(level - 1 - i))``."""
+    return sum(map(mul, path, reversed(levels[level - len(path):level])))
 
 
 def gather_words(mem: MemorySystem, entry: Entry, level: int,
@@ -275,36 +323,35 @@ def gather_words(mem: MemorySystem, entry: Entry, level: int,
     if start + count > entry_capacity(mem, level):
         raise SegmentRangeError("range [%d, %d) beyond capacity" % (start, start + count))
 
+    levels = mem.levels(level)
+    end = start + count
+
     def visit(entry: Entry, level: int, base: int) -> None:
-        if entry == 0:
+        if not entry:
             return
-        span = entry_capacity(mem, level)
-        lo, hi = max(start, base), min(start + count, base + span)
-        if lo >= hi:
+        if base >= end or base + levels[level] <= start:
             return
-        if isinstance(entry, Inline):
+        if type(entry) is not PlidRef:  # Inline
             for k, v in enumerate(entry.values):
                 pos = base + k
-                if start <= pos < start + count and v:
+                if start <= pos < end and v:
                     out[pos - start] = v
             return
-        for p in entry.path:
-            span = entry_capacity(mem, level - 1)
-            base += p * span
-            level -= 1
-            lo, hi = max(start, base), min(start + count, base + span)
-            if lo >= hi:
+        if entry.path:
+            base += _path_offset(levels, entry.path, level)
+            level -= len(entry.path)
+            if base >= end or base + levels[level] <= start:
                 return
         line = mem.read(entry.plid)
         if level == 0:
             for k in range(mem.words_per_line):
                 pos = base + k
-                if start <= pos < start + count:
+                if start <= pos < end:
                     word = line[k]
                     if word != 0:
                         out[pos - start] = word
             return
-        child_span = entry_capacity(mem, level - 1)
+        child_span = levels[level - 1]
         for j in range(mem.fanout):
             visit(line[j], level - 1, base + j * child_span)
 
@@ -320,25 +367,24 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
     moving directly to the next non-null element, skipping zero subtrees
     without touching memory (section 3.3).
     """
-    limit = entry_capacity(mem, level) if stop is None else stop
+    levels = mem.levels(level)
+    limit = levels[level] if stop is None else stop
 
     def visit(entry: Entry, level: int, base: int) -> Iterator[Tuple[int, object]]:
-        if entry == 0:
+        if not entry:
             return
-        span = entry_capacity(mem, level)
-        if base + span <= start or base >= limit:
+        if base + levels[level] <= start or base >= limit:
             return
-        if isinstance(entry, Inline):
+        if type(entry) is not PlidRef:  # Inline
             for k, v in enumerate(entry.values):
                 pos = base + k
                 if v and start <= pos < limit:
                     yield pos, v
             return
-        for p in entry.path:
-            span = entry_capacity(mem, level - 1)
-            base += p * span
-            level -= 1
-            if base + span <= start or base >= limit:
+        if entry.path:
+            base += _path_offset(levels, entry.path, level)
+            level -= len(entry.path)
+            if base + levels[level] <= start or base >= limit:
                 return
         line = mem.read(entry.plid)
         if level == 0:
@@ -348,7 +394,7 @@ def iter_nonzero(mem: MemorySystem, entry: Entry, level: int,
                 if word != 0 and start <= pos < limit:
                     yield pos, word
             return
-        child_span = entry_capacity(mem, level - 1)
+        child_span = levels[level - 1]
         for j in range(mem.fanout):
             child_base = base + j * child_span
             if child_base + child_span <= start or child_base >= limit:
@@ -438,6 +484,15 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
     accumulated and the affected paths are converted to content-unique
     lines bottom-up in a single sweep (section 3.3), amortizing the
     lookup-by-content cost over many writes.
+
+    The work is one step per real line on the touched paths plus the
+    lines the update changes, not one step per level: a *single-child
+    run* — levels where every update falls into one child and the entry
+    is ``0``, a line reference whose compacted path continues into that
+    child, or an inline pack that fits the leftmost child — is descended
+    by index arithmetic alone, with no expansion and no
+    canonicalization, and the rebuilt subtree below it is re-wrapped
+    with :func:`_wrap_run`.
     """
     if not updates:
         return entry
@@ -445,12 +500,41 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
     for index in updates:
         if not 0 <= index < cap:
             raise SegmentRangeError("write at %d beyond capacity %d" % (index, cap))
+    levels = mem.levels(level)
 
     def apply(entry: Entry, level: int, updates: Dict[int, object]) -> Entry:
+        # Peel the single-child run: ``off`` is the run's target offset
+        # within this subtree, ``lo``/``hi`` the update range below it.
+        run: List[int] = []
+        off = 0
+        if level:
+            path = entry.path if type(entry) is PlidRef else None
+            lo, hi = min(updates), max(updates)
+            while level:
+                span = levels[level - 1]
+                j = lo // span
+                if hi // span != j:
+                    break
+                if path is not None:
+                    if len(run) == len(path) or path[len(run)] != j:
+                        break
+                elif entry and (j or len(entry.values) > span):
+                    break  # an inline pack spilling past the leftmost child
+                run.append(j)
+                shift = j * span
+                lo -= shift
+                hi -= shift
+                off += shift
+                level -= 1
+            if path and run:
+                # the crossed prefix of the path is the run itself; the
+                # reference (and the caller's count on it) carries on
+                entry = PlidRef(entry.plid, path[len(run):])
         if level == 0:
             words = _expand_leaf(mem, entry)
             owned = {i for i, word in enumerate(words) if isinstance(word, PlidRef)}
             for i, v in updates.items():
+                i -= off
                 if i in owned:
                     mem.decref(words[i].plid)
                     owned.discard(i)
@@ -460,15 +544,17 @@ def write_words_bulk(mem: MemorySystem, entry: Entry, level: int,
             # materialized) took its own on creation.
             for i in owned:
                 mem.decref(words[i].plid)
-            return new_entry
-        child_span = entry_capacity(mem, level - 1)
-        by_child: Dict[int, Dict[int, object]] = {}
-        for i, v in updates.items():
-            by_child.setdefault(i // child_span, {})[i % child_span] = v
-        children = _expand_children(mem, entry, level)
-        for j, child_updates in by_child.items():
-            children[j] = apply(children[j], level - 1, child_updates)
-        return _canonical_interior(mem, children, level)
+        else:
+            child_span = levels[level - 1]
+            by_child: Dict[int, Dict[int, object]] = {}
+            for i, v in updates.items():
+                j, i = divmod(i - off, child_span)
+                by_child.setdefault(j, {})[i] = v
+            children = _expand_children(mem, entry, level)
+            for j, child_updates in by_child.items():
+                children[j] = apply(children[j], level - 1, child_updates)
+            new_entry = _canonical_interior(mem, children, level)
+        return _wrap_run(mem, new_entry, level, run)
 
     return apply(entry, level, dict(updates))
 

@@ -14,7 +14,11 @@ instead of re-running the whole operation:
 * content-uniqueness lets the merge skip identical sub-DAGs with a single
   root compare, so the expected work is a short path from the root down
   to the (usually single) diverging subtree — the geometric-series
-  latency argument of section 5.1.1.
+  latency argument of section 5.1.1;
+* levels where all three sides are single-child subtrees on the same
+  child (compacted paths, the zero subtree, the inline pack on the
+  leftmost spine) hold no real line, so the merge descends them in one
+  step and re-wraps the merged child (:func:`repro.segments.dag._wrap_run`).
 """
 
 from __future__ import annotations
@@ -96,6 +100,52 @@ def _children_view(mem: MemorySystem, entry: Entry, level: int) -> List[Entry]:
     return list(mem.read(entry.plid))
 
 
+def _shared_run(mem: MemorySystem, entries: Tuple[Entry, ...],
+                level: int) -> List[int]:
+    """Child positions of the single-child run the entries share.
+
+    Descends while each entry is the zero subtree, a line reference
+    whose compacted path continues into the same child as the others,
+    or an inline pack that fits the leftmost child (and the others go
+    leftmost too). The run stops above a real line, where paths
+    diverge, or at the leaves.
+    """
+    levels = mem.levels(level)
+    run: List[int] = []
+    depth = 0
+    while level:
+        span = levels[level - 1]
+        j = -1
+        for e in entries:
+            if type(e) is PlidRef:
+                if depth == len(e.path):
+                    return run
+                c = e.path[depth]
+            elif e:  # Inline
+                if len(e.values) > span:
+                    return run
+                c = 0
+            else:
+                continue
+            if j < 0:
+                j = c
+            elif c != j:
+                return run
+        if j < 0:
+            return run
+        run.append(j)
+        depth += 1
+        level -= 1
+    return run
+
+
+def _below_run(entry: Entry, depth: int) -> Entry:
+    """The borrowed child ``depth`` levels down a shared run."""
+    if type(entry) is PlidRef:
+        return PlidRef(entry.plid, entry.path[depth:])
+    return entry
+
+
 def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
                   level: int, stats: MergeStats = None) -> Entry:
     """Three-way merge of same-height subtrees.
@@ -132,6 +182,18 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
             # re-deriving it (intermediate lookup hits cancel out)
             stats.subtrees_skipped += 1
             return dag.retain_entry(mem, cached)
+    # The single-child run shared by all three sides: along it each
+    # side's only child is the run's child, so none of the skips above
+    # can fire below the top, and every sibling merge is a zero subtree
+    # skip (counted as such, level by level).
+    run = _shared_run(mem, (base, mine, theirs), level)
+    if run:
+        depth = len(run)
+        base, mine, theirs = (_below_run(e, depth)
+                              for e in (base, mine, theirs))
+        level -= depth
+        stats.levels_descended += depth
+        stats.subtrees_skipped += depth * (mem.fanout - 1)
     if level == 0:
         stats.leaf_merges += 1
         b, m, t = (_leaf_view(mem, e) for e in (base, mine, theirs))
@@ -153,7 +215,10 @@ def merge_entries(mem: MemorySystem, base: Entry, mine: Entry, theirs: Entry,
                 dag.release_entry(mem, c)
             raise
         merged = dag._canonical_interior(mem, children, level)
+    if run:
+        merged = dag._wrap_run(mem, merged, level, run)
     if memo_key is not None:
+        # keyed at the run's top; the entries below it name the same PLIDs
         memo.put_merge(memo_key, merged, (base, mine, theirs, merged))
     return merged
 

@@ -54,10 +54,13 @@ class TestLookup:
         # Every line of one hash bucket must land in one cache set.
         store, cache = make()
         plids = [cache.lookup((i, 7)) for i in range(1, 30)]
-        for plid in plids:
-            expected = store.bucket_of(plid) % cache.geometry.num_sets
-            if plid in cache._where:
-                assert cache._where[plid] == expected
+        resident = 0
+        for set_idx, ways in enumerate(cache._sets):
+            for plid in ways:
+                assert store.bucket_of(plid) % cache.geometry.num_sets \
+                    == set_idx
+                resident += plid in plids
+        assert resident == cache.resident_lines() > 0
 
 
 class TestEvictionAndWriteback:

@@ -259,12 +259,11 @@ class TestStoreIntegration:
         store = machine.mem.store
         # manually lose an index entry: the auditor must notice
         victim = store.live_plids()[0]
+        key = store._index_keys[victim]
         if kind == "cuckoo":
-            enc = store._enc_by_plid[victim]
-            assert store.index.remove(CuckooIndex.key_of(enc), victim)
+            assert store.index.remove(key, victim)
         else:
-            enc = store._enc_by_plid[victim]
-            store._buckets[store.bucket_of(victim)].by_encoding.pop(enc)
+            store._buckets[store.bucket_of(victim)].by_encoding.pop(key)
         failures = audit_index(machine)
         assert any("not" in f and str(victim) in f for f in failures)
         assert not audit_machine(machine).ok
